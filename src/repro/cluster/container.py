@@ -13,6 +13,7 @@ system).
 from __future__ import annotations
 
 import enum
+import zlib
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, Optional
@@ -125,7 +126,7 @@ class ContainerRuntime:
         self.env = env
         self.host_id = host_id
         self.latency_model = latency_model or ContainerLatencyModel()
-        self._rng = rng or SeededRandom(hash(host_id) & 0x7FFFFFFF)
+        self._rng = rng or SeededRandom(zlib.crc32(host_id.encode()))
         self.containers: Dict[str, Container] = {}
         self.cold_starts = 0
         self.warm_starts = 0

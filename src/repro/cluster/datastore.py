@@ -92,8 +92,10 @@ class DistributedDataStore:
         self.backend = backend
         self._rng = rng or SeededRandom(0xDA7A)
         self._objects: Dict[str, StoredObject] = {}
-        # node_id -> {key: size} for the simple per-node cache.
+        # node_id -> {key: size} for the simple per-node cache, and the
+        # running byte total of each node's entries.
         self._node_caches: Dict[str, Dict[str, int]] = {}
+        self._node_cache_bytes: Dict[str, int] = {}
         self._node_cache_capacity = node_cache_capacity_bytes
         self.write_latencies: List[float] = []
         self.read_latencies: List[float] = []
@@ -167,14 +169,21 @@ class DistributedDataStore:
 
     def _cache_put(self, node_id: str, key: str, size_bytes: int) -> None:
         cache = self._node_caches.setdefault(node_id, {})
+        used = (self._node_cache_bytes.get(node_id, 0)
+                - cache.get(key, 0) + size_bytes)
         cache[key] = size_bytes
         # Evict oldest entries when over capacity (insertion-ordered dict).
-        while sum(cache.values()) > self._node_cache_capacity and len(cache) > 1:
-            oldest = next(iter(cache))
-            if oldest == key and len(cache) == 1:
-                break
-            cache.pop(oldest)
+        # A re-put keeps its slot, so ``key`` itself may be the oldest: it
+        # is skipped, because the object just written must stay cached.
+        while used > self._node_cache_capacity and len(cache) > 1:
+            keys = iter(cache)
+            victim = next(keys)
+            if victim == key:
+                victim = next(keys)
+            used -= cache.pop(victim)
+        self._node_cache_bytes[node_id] = used
 
     def invalidate_cache(self, node_id: str) -> None:
         """Drop the cache of a node (e.g. a terminated replica container)."""
         self._node_caches.pop(node_id, None)
+        self._node_cache_bytes.pop(node_id, None)

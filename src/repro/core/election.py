@@ -17,6 +17,7 @@ as configured in :class:`repro.core.config.PlatformConfig`.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -92,11 +93,10 @@ class ExecutorElection:
     def __init__(self, kernel_id: str, rng: Optional[SeededRandom] = None,
                  latency_model: Optional[ElectionLatencyModel] = None) -> None:
         self.kernel_id = kernel_id
-        self._rng = rng or SeededRandom(hash(kernel_id) & 0x7FFFFFFF)
+        self._rng = rng or SeededRandom(zlib.crc32(kernel_id.encode()))
         self.latency_model = latency_model or ElectionLatencyModel()
         self.elections_held = 0
         self.failed_elections = 0
-        self.outcomes: List[ElectionOutcome] = []
         self.last_executor_id: Optional[str] = None
 
     def decide(self, proposals: List[ReplicaProposal],
@@ -157,7 +157,6 @@ class ExecutorElection:
                                   converted_to_yield=converted)
         if winner is not None:
             self.last_executor_id = winner.replica_id
-        self.outcomes.append(outcome)
         return outcome
 
     @property

@@ -22,6 +22,7 @@ golden digests pin it.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.container import (
@@ -50,7 +51,7 @@ class LocalScheduler:
         self.host = host
         self.prewarmer = prewarmer
         self.processing_delay = processing_delay
-        self._rng = rng or SeededRandom(hash(host.host_id) & 0x7FFFFFFF)
+        self._rng = rng or SeededRandom(zlib.crc32(host.host_id.encode()))
         self.runtime = ContainerRuntime(env, host.host_id,
                                         latency_model=container_latency,
                                         rng=self._rng.substream("containers"))

@@ -24,6 +24,7 @@ Preferred entry point: the :class:`repro.api.Simulation` builder.
 
 from __future__ import annotations
 
+import gc
 import time as _wallclock
 from typing import Dict, List, Optional, Union
 
@@ -136,7 +137,6 @@ class NotebookOSPlatform:
         self.sessions: Dict[str, NotebookSession] = {}
         self.active_session_count = 0
         self.active_training_count = 0
-        self._background_processes: List = []
         # Set by the shard runner (repro.shard) when this platform simulates
         # one shard of a space-partitioned run.  Anything with a
         # ``stats_payload()`` method qualifies (duck-typed to keep the core
@@ -202,7 +202,7 @@ class NotebookOSPlatform:
     # ------------------------------------------------------------------
     def spawn_background(self, generator) -> None:
         """Run a generator as a fire-and-forget background process."""
-        self._background_processes.append(self.env.process(generator))
+        self.env.process(generator)
 
     # ------------------------------------------------------------------
     # Workload replay.
@@ -242,6 +242,7 @@ class NotebookOSPlatform:
         from repro.statesync.ast_analysis import ast_cache_stats
 
         started_wallclock = _wallclock.monotonic()
+        gc_before = gc.get_stats()
         ast_hits_before, ast_misses_before = ast_cache_stats()
         dispatch_before = self.env.dispatch_stats()
         self.runstate.begin_run(trace)
@@ -271,6 +272,7 @@ class NotebookOSPlatform:
             "trace": trace,
             "horizon": horizon,
             "started_wallclock": started_wallclock,
+            "gc_before": gc_before,
             "ast_before": (ast_hits_before, ast_misses_before),
             "dispatch_before": dispatch_before,
             "decisions_before": decisions_before,
@@ -346,8 +348,9 @@ class NotebookOSPlatform:
             "dispatch": {key: dispatch_after[key] - dispatch_before[key]
                          for key in dispatch_after},
             # Peak process memory (lifetime high-water mark, not
-            # run-scoped — getrusage cannot be reset).
-            "memory": memory_stats(),
+            # run-scoped — getrusage cannot be reset) and this run's
+            # cyclic-GC collections and collected objects.
+            "memory": memory_stats(gc_since=workload["gc_before"]),
         }
         if self.shard_context is not None:
             # Per-shard dispatch/barrier counters (index, epochs, stall

@@ -64,9 +64,10 @@ class ProfileReport:
     #: :mod:`repro.core.runstate`).  All zero when policy batching is off.
     decisions: Dict[str, int] = field(default_factory=dict)
     #: Peak process memory at run end (``peak_rss_bytes`` always on POSIX,
-    #: ``peak_traced_bytes`` when tracemalloc is running) — see
-    #: :func:`repro.profiling.memory_stats`.
-    memory: Dict[str, int] = field(default_factory=dict)
+    #: ``peak_traced_bytes`` when tracemalloc is running) and the run's
+    #: cyclic-GC work (``gc_collections`` per generation, ``gc_collected``)
+    #: — see :func:`repro.profiling.memory_stats`.
+    memory: Dict[str, Any] = field(default_factory=dict)
     #: Per-shard counters (index, epochs, barrier stall seconds, per-epoch
     #: dispatch, pressure; see ``repro.shard.ShardContext.stats_payload``).
     #: Empty — and absent from :meth:`to_dict` — for unsharded runs, so

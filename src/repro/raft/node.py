@@ -15,6 +15,7 @@ behaviour the NotebookOS kernel replicas rely on during executor elections.
 from __future__ import annotations
 
 import enum
+import zlib
 from dataclasses import dataclass
 from itertools import count
 from typing import Any, Dict, List, Optional
@@ -88,7 +89,7 @@ class RaftNode:
         self.peers = [p for p in peers if p != node_id]
         self.state_machine = state_machine
         self.config = config
-        self._rng = rng or SeededRandom(hash(node_id) & 0x7FFFFFFF)
+        self._rng = rng or SeededRandom(zlib.crc32(node_id.encode()))
 
         # Persistent state.
         self.current_term = 0

@@ -50,6 +50,20 @@ goes to the FIFO (by definition after everything already queued at that
 time, which holds smaller serials), and scheduling later goes to a
 bucket/overflow position the batch has already passed.
 
+Process lifetime
+----------------
+A finished process drops its self-references: every completion path (the
+three in ``Process._resume`` and ``Process._finish``) clears ``_resume_cb``
+(the bound ``_resume`` registered on every event the process waits for) and
+``_sleep_call`` (its reusable sleep stub), and a failure's traceback loses
+the engine frame that caught it, whose locals hold the process.  Reference
+counting therefore frees a finished process as soon as nothing waits on
+it; a stale sleep stub still in the queue holds its own reference and keeps
+the process only until it pops and the ``_triggered`` guard rejects it.  No
+engine structure may hold a cycle through a live-looking ``Process``: at
+scale, cyclic garbage is what makes the collector's full passes rescan the
+whole run heap.
+
 Failed events whose exception nobody handled are re-raised out of the run
 loop unless they are *defused* — see :class:`~repro.simulation.events.Event`.
 """
@@ -106,6 +120,19 @@ class _Call:
 _call_new = _Call.__new__
 
 
+def _without_engine_frame(exc: BaseException) -> BaseException:
+    """Drop the engine frame that caught ``exc`` from its traceback.
+
+    That frame's locals hold the dying process, so keeping it would tie
+    process -> exception -> traceback -> frame -> process into a cycle only
+    the cyclic collector frees.  The process body's own frames are kept.
+    """
+    tb = exc.__traceback__
+    if tb is not None:
+        exc.__traceback__ = tb.tb_next
+    return exc
+
+
 class Process(Event):
     """A running simulation process.
 
@@ -114,8 +141,10 @@ class Process(Event):
     wait for completion.
     """
 
+    # ``__weakref__`` lets callers watch a finished process being freed
+    # (see "Process lifetime" in the module docstring).
     __slots__ = ("_name", "_generator", "_waiting_on", "_resume_cb",
-                 "_sleep_call")
+                 "_sleep_call", "__weakref__")
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any],
                  name: Optional[str] = None) -> None:
@@ -194,24 +223,28 @@ class Process(Event):
                 event.defused = True
                 target = self._generator.throw(exc)
         except StopIteration as stop:
-            # _finish inlined: trigger this process's completion event.
+            # _finish inlined: trigger this process's completion event and
+            # drop the self-references (see "Process lifetime").
             if not self._triggered:
                 self._triggered = True
                 self._value = stop.value
+                self._resume_cb = self._sleep_call = None
                 self.env._fifo.append(self)
             return
         except Interrupt as interrupt:
             if not self._triggered:
                 self._triggered = True
-                self._exception = interrupt
+                self._exception = _without_engine_frame(interrupt)
                 # Deliberate cancellation, not an engine-level error.
                 self.defused = True
+                self._resume_cb = self._sleep_call = None
                 self.env._fifo.append(self)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into waiters
             if not self._triggered:
                 self._triggered = True
-                self._exception = exc
+                self._exception = _without_engine_frame(exc)
+                self._resume_cb = self._sleep_call = None
                 self.env._fifo.append(self)
             return
 
@@ -287,10 +320,10 @@ class Process(Event):
             self._finish(value=stop.value)
             return
         except Interrupt as interrupt:
-            self._finish(exception=interrupt)
+            self._finish(exception=_without_engine_frame(interrupt))
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into waiters
-            self._finish(exception=exc)
+            self._finish(exception=_without_engine_frame(exc))
             return
 
         cls = target.__class__
@@ -349,6 +382,7 @@ class Process(Event):
                 self.defused = True
         else:
             self._value = value
+        self._resume_cb = self._sleep_call = None
         self.env._fifo.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -25,6 +25,7 @@ The synchronizer supports two fidelity modes:
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -88,9 +89,8 @@ class StateSynchronizer:
         self.checkpoint_manager = checkpoint_manager
         self.raft_cluster = raft_cluster
         self.latency_model = latency_model or SyncLatencyModel()
-        self._rng = rng or SeededRandom(hash(kernel_id) & 0x7FFFFFFF)
+        self._rng = rng or SeededRandom(zlib.crc32(kernel_id.encode()))
         self.sync_latencies: List[float] = []
-        self.reports: List[SyncReport] = []
         # code -> full sync plan: (namespace list object, small, large,
         # sorted small names, sorted large names, small bytes, large bytes).
         # An entry is valid only while the caller passes the *same*
@@ -158,5 +158,4 @@ class StateSynchronizer:
             report.checkpoint_latency = self.env.now - start
             report.bytes_via_datastore = large_bytes
 
-        self.reports.append(report)
         return report

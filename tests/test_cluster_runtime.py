@@ -237,6 +237,46 @@ def test_datastore_node_cache_accelerates_reads():
     assert store.cache_misses == 1
 
 
+def test_datastore_node_cache_keeps_a_re_put_object():
+    # Re-putting the oldest key larger pushes the cache over capacity: the
+    # eviction must drop the *other* (stale) entry, never the one just put.
+    env = Environment()
+    store = DistributedDataStore(env, backend="redis", rng=SeededRandom(14),
+                                 node_cache_capacity_bytes=100)
+
+    def run():
+        yield env.process(store.write("a", 10, "k", node_id="node"))
+        yield env.process(store.write("b", 85, "k", node_id="node"))
+        yield env.process(store.write("a", 20, "k", node_id="node"))
+        yield env.process(store.read("a", node_id="node"))
+        yield env.process(store.read("b", node_id="node"))
+
+    env.run(until=env.process(run()))
+    assert store.cache_hits == 1    # "a" stayed cached
+    assert store.cache_misses == 1  # "b" was evicted to make room
+
+
+def test_datastore_node_cache_re_put_keeps_its_eviction_slot():
+    # Eviction is oldest-inserted first, and a re-put that fits does not
+    # move its key: the LCP policy's run digests depend on this order.
+    env = Environment()
+    store = DistributedDataStore(env, backend="redis", rng=SeededRandom(15),
+                                 node_cache_capacity_bytes=100)
+
+    def run():
+        yield env.process(store.write("a", 40, "k", node_id="node"))
+        yield env.process(store.write("b", 40, "k", node_id="node"))
+        yield env.process(store.write("a", 40, "k", node_id="node"))
+        yield env.process(store.write("c", 40, "k", node_id="node"))
+        yield env.process(store.read("b", node_id="node"))
+        assert (store.cache_hits, store.cache_misses) == (1, 0)  # "b" stayed
+        yield env.process(store.read("a", node_id="node"))
+        assert (store.cache_hits, store.cache_misses) == (1, 1)  # "a" went
+        return True
+
+    assert env.run(until=env.process(run())) is True
+
+
 def test_datastore_backend_selection_and_validation():
     env = Environment()
     assert DistributedDataStore(env, backend="hdfs").backend is HDFS_BACKEND

@@ -9,7 +9,10 @@ across (a) two independent runs and (b) a JSON round-trip of the resulting
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,3 +132,45 @@ def test_collector_json_round_trip_is_bit_identical():
         json.loads(json.dumps(collector_dict))).to_dict()
     assert json.dumps(round_tripped, sort_keys=True) == \
         json.dumps(collector_dict, sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# Fallback seeds of directly constructed components.
+# ----------------------------------------------------------------------
+_FALLBACK_DRAWS = """
+from repro.cluster.container import ContainerRuntime
+from repro.cluster.host import Host
+from repro.core.election import ExecutorElection
+from repro.core.local_scheduler import LocalScheduler
+from repro.raft.node import RaftNode
+from repro.raft.state_machine import KeyValueStateMachine
+from repro.simulation import Environment
+from repro.simulation.network import Network
+from repro.statesync.synchronizer import StateSynchronizer
+
+env = Environment()
+components = [
+    ExecutorElection("kernel-7"),
+    StateSynchronizer(env, "kernel-7", checkpoint_manager=None),
+    ContainerRuntime(env, "host-7"),
+    LocalScheduler(env, Host(host_id="host-7")),
+    RaftNode(env, Network(env), "node-7", ["node-7", "node-8"],
+             KeyValueStateMachine()),
+]
+print([component._rng.random() for component in components])
+"""
+
+
+def test_fallback_seeds_do_not_depend_on_the_hash_salt():
+    # Components built without an ``rng`` seed themselves from their id;
+    # the seed must not come from the per-interpreter salted ``hash()``.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+
+    def draws(hash_seed: str) -> str:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", _FALLBACK_DRAWS],
+                              env=env, capture_output=True, text=True,
+                              check=True).stdout
+
+    assert draws("1") == draws("2")

@@ -1,5 +1,9 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import gc
+import traceback
+import weakref
+
 import pytest
 
 from repro.simulation import (
@@ -7,6 +11,7 @@ from repro.simulation import (
     AnyOf,
     Environment,
     Interrupt,
+    Process,
     SimulationError,
     Store,
     PriorityStore,
@@ -535,3 +540,175 @@ def test_determinism_same_structure_same_schedule():
         return order
 
     assert build_and_run() == build_and_run()
+
+
+# ----------------------------------------------------------------------
+# Process lifetime: a finished process holds no reference cycle, so
+# reference counting frees it as soon as nothing waits on it — no pass of
+# the cyclic collector is needed (it is switched off in these tests).
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def refcount_only():
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _spawn(env, body, refs):
+    """Start ``body`` and keep only a weak reference to its process."""
+    process = env.process(body)
+    refs.append(weakref.ref(process))
+    return process
+
+
+def test_returned_process_is_freed_without_gc(refcount_only):
+    env = Environment()
+    refs, values = [], []
+
+    def child():
+        yield env.timeout(1.0)
+        yield 0.5
+        return 7
+
+    def parent():
+        values.append((yield _spawn(env, child(), refs)))
+
+    _spawn(env, child(), refs)   # nobody waits on this one
+    _spawn(env, parent(), refs)
+    env.run()
+    assert values == [7]
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_process_built_by_the_class_is_freed_without_gc(refcount_only):
+    env = Environment()
+
+    def child():
+        yield 1.0
+
+    ref = weakref.ref(Process(env, child()))
+    env.run()
+    assert ref() is None
+
+
+def test_raising_process_is_freed_without_gc(refcount_only):
+    env = Environment()
+    refs, caught = [], []
+
+    def failing():
+        yield 1.0
+        raise ValueError("boom")
+
+    def parent():
+        try:
+            yield _spawn(env, failing(), refs)
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    _spawn(env, parent(), refs)
+    env.run()
+    assert caught == ["boom"]
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_interrupted_process_is_freed_without_gc(refcount_only):
+    # Both Interrupt paths: the victim dies of the Interrupt delivered at its
+    # yield, and the parent waiting on it dies of the same Interrupt re-raised
+    # at its own yield; the grandparent catches it.
+    env = Environment()
+    refs, causes = [], []
+
+    def victim():
+        yield env.timeout(10.0)
+
+    def parent():
+        yield _spawn(env, victim(), refs)
+
+    def grandparent():
+        try:
+            yield _spawn(env, parent(), refs)
+        except Interrupt as interrupt:
+            causes.append(interrupt.cause)
+
+    def killer():
+        yield 1.0
+        refs[-1]().interrupt("stop")  # the victim, spawned last
+
+    _spawn(env, grandparent(), refs)
+    _spawn(env, killer(), refs)
+    env.run()
+    assert causes == ["stop"]
+    assert [ref() for ref in refs] == [None] * 4
+
+
+@pytest.mark.parametrize("bad", [-1.0, "not an event"])
+def test_process_failed_by_the_engine_is_freed_without_gc(refcount_only, bad):
+    # A negative sleep or a non-event yield fails the process while its
+    # generator is still suspended at that yield.
+    env = Environment()
+    refs, caught = [], []
+
+    def misbehaving():
+        yield 1.0
+        yield bad
+
+    def parent():
+        try:
+            yield _spawn(env, misbehaving(), refs)
+        except SimulationError as exc:
+            caught.append(str(exc))
+
+    _spawn(env, parent(), refs)
+    env.run()
+    assert len(caught) == 1
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_process_interrupted_while_sleeping_is_freed_when_its_stub_pops(
+        refcount_only):
+    # The interrupted sleep's stub stays queued until its time; it keeps the
+    # finished process alive until it pops and is rejected as stale.
+    env = Environment()
+    refs, log = [], []
+
+    def sleeper():
+        try:
+            yield 10.0
+        except Interrupt:
+            log.append(("interrupted", env.now))
+            return "done"
+
+    def killer():
+        yield 1.0
+        refs[0]().interrupt()
+
+    _spawn(env, sleeper(), refs)
+    _spawn(env, killer(), refs)
+    env.run(until=5.0)
+    assert log == [("interrupted", 1.0)]
+    assert not refs[0]().is_alive
+    assert refs[1]() is None
+    env.run()
+    assert env.now == 10.0
+    assert refs[0]() is None
+
+
+def test_process_failure_traceback_keeps_the_body_frames():
+    env = Environment()
+
+    def crasher():
+        yield 1.0
+        raise ValueError("bug")
+
+    env.process(crasher())
+    with pytest.raises(ValueError) as info:
+        env.run()
+    names = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
+    assert "crasher" in names
+    assert "_resume" not in names
