@@ -2,4 +2,5 @@
 
 from setuptools import setup
 
-setup()
+# dataclass(slots=True) needs Python 3.10.
+setup(python_requires=">=3.10")

@@ -263,7 +263,9 @@ class Simulation:
         """Run the metrics collector in fixed-memory sketch mode.
 
         Interactivity/TCT fold into quantile sketches instead of the
-        unbounded per-task list (see ``MetricsCollector``); applied as a
+        unbounded per-task list (see ``MetricsCollector``), and no per-step
+        latency breakdown is kept (``result.breakdown`` is ``None``), so
+        memory stays bounded however many tasks run; applied as a
         config override on a copy of the resolved platform config, so
         presets and explicit configs compose.  Sketch-mode results
         serialize differently from exact ones, so the run is not served

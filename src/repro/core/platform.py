@@ -86,7 +86,11 @@ class NotebookOSPlatform:
         # the simulation timeline (golden-pinned).
         self.hooks = hooks if hooks is not None else HookBus()
         self._seat_metrics()
-        self.breakdown = LatencyBreakdown(policy=getattr(policy, "name", "unknown"))
+        # Sketch mode keeps no per-task records, so it keeps no per-step
+        # breakdown either (that would grow with the task count).
+        self.breakdown = (
+            None if self.metrics.sketch_mode
+            else LatencyBreakdown(policy=getattr(policy, "name", "unknown")))
         self.gpu_binding = GpuBindingModel()
 
         # Infrastructure substrate.
@@ -376,6 +380,7 @@ class NotebookOSPlatform:
     def _session_process(self, session: SessionTrace):
         env = self.env
         publish = self.hooks.publish
+        breakdown = self.breakdown
         if session.start_time > env.now:
             yield session.start_time - env.now
         notebook_session = NotebookSession(
@@ -429,7 +434,8 @@ class NotebookOSPlatform:
                 finally:
                     if task.is_gpu_task:
                         self.active_training_count -= 1
-                self.breakdown.add(metrics.steps)
+                if breakdown is not None:
+                    breakdown.add(metrics.steps)
                 publish(TASK_COMPLETE, env.now, session, task, metrics)
             if session.end_time > env.now:
                 yield session.end_time - env.now

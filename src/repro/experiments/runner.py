@@ -7,7 +7,10 @@ is embarrassingly parallel and *bit-identical* to running them serially.  To
 make that guarantee hold end to end, both paths materialize results through
 the same JSON round-trip (``ExperimentResult.to_dict`` in the worker,
 ``from_dict`` in the parent), which is also exactly what a store hit
-deserializes.
+deserializes.  That round trip carries the latency breakdown as references
+into the collector's task list, not as a second copy of every task's step
+latencies, so a decoded result holds one step record per task, as the
+worker's live result did.
 
 Parallel execution is **supervised** (one forked process per spec, polled
 pipes) rather than pooled: a worker that a SIGKILL / OOM-killer takes out

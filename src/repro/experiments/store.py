@@ -30,7 +30,9 @@ from repro.version import __version__
 
 # Bump when the serialized result layout changes; mismatched entries are
 # treated as misses (and rerun) rather than failing to deserialize.
-SCHEMA_VERSION = 1
+# Version 2: the latency breakdown refers to the collector's task records
+# by index instead of repeating each task's step latencies.
+SCHEMA_VERSION = 2
 
 DEFAULT_STORE_ENV = "REPRO_RESULTS_DIR"
 DEFAULT_STORE_DIR = ".repro_results"

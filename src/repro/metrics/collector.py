@@ -42,7 +42,7 @@ class EventKind(enum.Enum):
     REPLICA_FAILURE = "replica_failure"
 
 
-@dataclass
+@dataclass(slots=True)
 class PlatformEvent:
     """One discrete platform event."""
 
@@ -51,7 +51,7 @@ class PlatformEvent:
     detail: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskMetrics:
     """Per-task measurements."""
 
@@ -132,8 +132,9 @@ class MetricsCollector:
       instead of the unbounded task list; ``tasks`` stays empty and
       per-task records are dropped once :meth:`absorb_completed_task` (the
       platform's ``TASK_COMPLETE`` subscriber) has consumed them.  Summary
-      percentiles come from the sketches.  Caveats: per-task reports and
-      CDF plots are unavailable, and tasks still in flight at run end are
+      percentiles come from the sketches.  Caveats: per-task reports, CDF
+      plots and the per-step latency breakdown (``result.breakdown`` is
+      ``None``) are unavailable, and tasks still in flight at run end are
       not counted.
     """
 
@@ -371,7 +372,18 @@ class MetricsCollector:
 
 @dataclass
 class ExperimentResult:
-    """The outcome of running one trace under one scheduling policy."""
+    """The outcome of running one trace under one scheduling policy.
+
+    Serialization: every breakdown sample is the ``steps`` record of one of
+    the collector's tasks (the platform adds ``metrics.steps`` when a task
+    completes), so :meth:`to_dict` writes the breakdown as ``{"policy",
+    "task_steps": [i, ...]}``, indices into ``collector.tasks`` in the
+    recorded completion order, and :meth:`from_dict` points each sample
+    back at ``collector.tasks[i].steps``.  A decoded result therefore holds
+    one :class:`StepLatencies` per task, like the live one.  A sample that
+    is not a task record of the collector cannot be written this way, and
+    :meth:`to_dict` raises ``ValueError`` on it.
+    """
 
     policy: str
     trace_name: str
@@ -408,18 +420,39 @@ class ExperimentResult:
             "trace_name": self.trace_name,
             "collector": self.collector.to_dict(),
             "wall_clock_runtime": self.wall_clock_runtime,
-            "breakdown": self.breakdown.to_dict() if self.breakdown else None,
+            "breakdown": self._breakdown_refs() if self.breakdown else None,
         }
+
+    def _breakdown_refs(self) -> Dict[str, object]:
+        """The breakdown as indices of its samples in ``collector.tasks``."""
+        index = {id(task.steps): i
+                 for i, task in enumerate(self.collector.tasks)}
+        refs = []
+        for sample in self.breakdown.samples:
+            i = index.get(id(sample))
+            if i is None:
+                raise ValueError(
+                    "breakdown sample is not the steps record of any "
+                    f"collector task: {sample!r}")
+            refs.append(i)
+        return {"policy": self.breakdown.policy, "task_steps": refs}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ExperimentResult":
-        breakdown = data.get("breakdown")
+        collector = MetricsCollector.from_dict(data["collector"])
+        refs = data.get("breakdown")
+        breakdown = None
+        if refs:
+            tasks = collector.tasks
+            breakdown = LatencyBreakdown(
+                policy=refs["policy"],
+                samples=[tasks[i].steps for i in refs["task_steps"]])
         return cls(
             policy=data["policy"],
             trace_name=data["trace_name"],
-            collector=MetricsCollector.from_dict(data["collector"]),
+            collector=collector,
             wall_clock_runtime=data.get("wall_clock_runtime", 0.0),
-            breakdown=LatencyBreakdown.from_dict(breakdown) if breakdown else None)
+            breakdown=breakdown)
 
     def summary(self) -> Dict[str, object]:
         """The headline row the benchmarks print for this policy."""

@@ -29,7 +29,7 @@ REQUEST_STEPS: List[str] = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class StepLatencies:
     """The per-step latencies of one execute request."""
 

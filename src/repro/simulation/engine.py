@@ -420,7 +420,7 @@ class Environment:
                  "_base", "_inv_width", "_nbuckets", "_push", "_put",
                  "event", "timeout", "at", "process", "defer",
                  "_stat_disp", "_stat_batches",
-                 "_stat_overflow", "_stat_rebases")
+                 "_stat_overflow", "_stat_rebases", "_stat_scanned")
 
     def __init__(self, initial_time: float = 0.0,
                  bucket_width: float = BUCKET_WIDTH,
@@ -456,6 +456,7 @@ class Environment:
         self._stat_batches = 0
         self._stat_overflow = 0
         self._stat_rebases = 0
+        self._stat_scanned = 0
 
         push = self._schedule_entry
         self._push = push            # slot read beats a descriptor bind
@@ -774,16 +775,18 @@ class Environment:
             del lst[:]
             self._pos = 0
         buckets = self._buckets
-        cur = self._cur + 1
+        start = cur = self._cur + 1
         mx = self._max
         while cur <= mx:
             b = buckets[cur]
             if b:
+                self._stat_scanned += cur - start
                 b.sort()
                 self._cur = cur
                 self._cur_list = b
                 return b[0][0]
             cur += 1
+        self._stat_scanned += cur - start
         overflow = self._overflow
         if not overflow:
             return None
@@ -846,9 +849,10 @@ class Environment:
         item)`` tuple entries ever scheduled (``dispatched - serials`` over
         a run approximates the same-time FIFO-lane share), ``overflow``
         counts entries scheduled beyond the calendar window and later
-        migrated into it, and ``rebases`` counts window migrations onto
-        the overflow heap.  The :mod:`repro.profiling` subsystem snapshots
-        these around a run.
+        migrated into it, ``rebases`` counts window migrations onto the
+        overflow heap, and ``scanned`` counts the empty buckets the search
+        for the next nonempty bucket stepped over.  The
+        :mod:`repro.profiling` subsystem snapshots these around a run.
         """
         # itertools.count exposes its next value only through __reduce__;
         # this is a cold introspection path.
@@ -859,6 +863,7 @@ class Environment:
             "serials": serials,
             "overflow": self._stat_overflow,
             "rebases": self._stat_rebases,
+            "scanned": self._stat_scanned,
         }
 
     # ------------------------------------------------------------------

@@ -219,6 +219,22 @@ def test_dispatch_stats_account_for_lanes_and_batches():
     assert stats["overflow"] == 1 and stats["rebases"] == 1
 
 
+def test_dispatch_stats_count_scanned_empty_buckets():
+    # Width 1.0, eight buckets: entries land in buckets 1, 5 and 7, and the
+    # t=100 entry overflows the window.
+    env = Environment(bucket_width=1.0, num_buckets=8)
+    for delay in (1.0, 5.0, 7.5, 100.0):
+        env.defer(delay, lambda _s: None)
+    env.run()
+    stats = env.dispatch_stats()
+    assert stats["dispatched"] == 4
+    # Scans: 1 found at once; 2, 3, 4 stepped over to reach 5; 6 stepped
+    # over to reach 7; past 7 the window is exhausted and rebases onto the
+    # overflow entry, which lands in the new bucket 0 with no scan.
+    assert stats["scanned"] == 4
+    assert stats["overflow"] == 1 and stats["rebases"] == 1
+
+
 def test_peek_from_a_callback_is_side_effect_free():
     # peek() must be a pure read: a callback peeking mid-run while the
     # loop's cursor locals are cached must not sort/clear/rebase the

@@ -159,6 +159,31 @@ def test_store_rejects_corrupt_and_mismatched_entries(tmp_path):
     assert store.load(spec) is not None
 
 
+def test_version_1_entry_with_by_value_breakdown_is_a_miss(tmp_path):
+    store = ResultStore(tmp_path)
+    spec = small_spec()
+    run_spec(spec, store=store)
+    path = store.path_for(spec)
+    payload = json.loads(path.read_text())
+    # Rewrite the entry the way schema version 1 stored it: the breakdown
+    # repeated every sample's step latencies by value.
+    result = ExperimentResult.from_dict(payload["result"])
+    payload["schema_version"] = 1
+    payload["result"]["breakdown"] = result.breakdown.to_dict()
+    assert "samples" in payload["result"]["breakdown"]
+    path.write_text(json.dumps(payload))
+    assert store.load(spec) is None
+
+    outcome = run_spec(spec, store=store)
+    assert not outcome.cached
+    rewritten = json.loads(path.read_text())
+    assert rewritten["schema_version"] == SCHEMA_VERSION == 2
+    assert set(rewritten["result"]["breakdown"]) == {"policy", "task_steps"}
+    hit = run_spec(spec, store=store)
+    assert hit.cached
+    assert hit.result.breakdown.table() == outcome.result.breakdown.table()
+
+
 # ----------------------------------------------------------------------
 # Runner determinism and caching.
 # ----------------------------------------------------------------------
